@@ -12,7 +12,7 @@
 //! repro metrics [--seed <n>] [--chaos]
 //!                            # Prometheus-format metrics dump
 //! repro losssweep [--seed <n>]
-//!                            # bytes-on-wire under loss: batched vs baseline
+//!                            # bytes-on-wire under loss: batched vs frozen baseline
 //! repro laser [--seed <n>]   # Laser serving tier: hedged vs unhedged reads
 //! repro canary [--seed <n>]  # fleet rollout pipeline under chaos: staged
 //!                            # canary phases, auto-rollback, drift audit

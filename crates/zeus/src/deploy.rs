@@ -122,15 +122,11 @@ impl ZeusDeployment {
                 )),
             );
         }
-        // Install observers. The legacy flag rides along so the losssweep
-        // baseline degrades the whole pipeline, not just the ensemble tier.
+        // Install observers.
         for &node in &observers {
             sim.add_actor(
                 node,
-                Box::new(
-                    ObserverActor::new(leader, cfg.ensemble.log_cap)
-                        .with_legacy_notify(cfg.ensemble.legacy_rebroadcast),
-                ),
+                Box::new(ObserverActor::new(leader, cfg.ensemble.log_cap)),
             );
         }
         // Install proxies everywhere else.
@@ -143,10 +139,7 @@ impl ZeusDeployment {
             let local_observers = observers_by_cluster[cluster.0 as usize].clone();
             sim.add_actor(
                 node,
-                Box::new(
-                    ProxyActor::new(local_observers, cfg.subscriptions.clone())
-                        .with_legacy(cfg.ensemble.legacy_rebroadcast),
-                ),
+                Box::new(ProxyActor::new(local_observers, cfg.subscriptions.clone())),
             );
             proxies.push(node);
         }

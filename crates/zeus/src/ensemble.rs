@@ -47,13 +47,6 @@ pub struct EnsembleConfig {
     pub election_timeout: SimDuration,
     /// Writes retained for catch-up responses.
     pub log_cap: usize,
-    /// Pre-batching baseline for A/B measurement (`repro losssweep`): the
-    /// heartbeat pacer re-broadcasts the entire uncommitted tail, one
-    /// `Append` frame per write, to every follower — acked or not — and
-    /// the leader pushes one frame per committed write to each observer
-    /// (with observers notifying proxies one frame per path). Leave off
-    /// for the ack-aware, batched behavior.
-    pub legacy_rebroadcast: bool,
 }
 
 impl Default for EnsembleConfig {
@@ -62,7 +55,6 @@ impl Default for EnsembleConfig {
             heartbeat: SimDuration::from_millis(50),
             election_timeout: SimDuration::from_millis(400),
             log_cap: 100_000,
-            legacy_rebroadcast: false,
         }
     }
 }
@@ -560,34 +552,16 @@ impl EnsembleActor {
             }
             if !batch.is_empty() {
                 for &o in &self.observers.clone() {
-                    if self.cfg.legacy_rebroadcast {
-                        // Baseline: one frame per committed write, asserting
-                        // completeness only up to itself — exactly the
-                        // information the pre-batching per-write push
-                        // carried.
-                        for w in &batch {
-                            ctx.send_traced_batch(
-                                o,
-                                batch_wire_size(std::slice::from_ref(w)),
-                                Box::new(ZeusMsg::ObserverUpdateBatch {
-                                    writes: vec![w.clone()],
-                                    upto: w.zxid,
-                                }),
-                                batch_traces(std::slice::from_ref(w)),
-                            );
-                        }
-                    } else {
-                        for chunk in batch.chunks(MAX_BATCH_WRITES) {
-                            ctx.send_traced_batch(
-                                o,
-                                batch_wire_size(chunk),
-                                Box::new(ZeusMsg::ObserverUpdateBatch {
-                                    writes: chunk.to_vec(),
-                                    upto: new_commit,
-                                }),
-                                batch_traces(chunk),
-                            );
-                        }
+                    for chunk in batch.chunks(MAX_BATCH_WRITES) {
+                        ctx.send_traced_batch(
+                            o,
+                            batch_wire_size(chunk),
+                            Box::new(ZeusMsg::ObserverUpdateBatch {
+                                writes: chunk.to_vec(),
+                                upto: new_commit,
+                            }),
+                            batch_traces(chunk),
+                        );
                     }
                 }
             }
@@ -650,24 +624,6 @@ impl EnsembleActor {
                     batch_traces(chunk),
                 );
             }
-        }
-    }
-
-    /// Pre-batching baseline (`legacy_rebroadcast`): the whole pending tail
-    /// goes to every follower, one `Append` frame per write, acked or not.
-    /// Kept so `repro losssweep` can measure the bytes the targeted path
-    /// saves. `APPEND_RETRANSMITS` counts (follower, write) pairs here too,
-    /// so the two modes are comparable.
-    fn retransmit_blanket(&mut self, ctx: &mut Ctx<'_>, pending: &[Write]) {
-        let fanout = (self.peers.len() - 1) as u64;
-        ctx.metrics()
-            .incr(APPEND_RETRANSMITS, pending.len() as u64 * fanout);
-        for w in pending {
-            if let Some(t) = w.trace {
-                ctx.trace_annot(t, hops::RETRANSMIT, vec![("zxid", w.zxid.to_string())]);
-            }
-            let size = w.wire_size();
-            self.broadcast(ctx, &ZeusMsg::Append { write: w.clone() }, size);
         }
     }
 
@@ -941,11 +897,7 @@ impl Actor for EnsembleActor {
                     .map(|(_, w)| w.clone())
                     .collect();
                 if !pending.is_empty() {
-                    if self.cfg.legacy_rebroadcast {
-                        self.retransmit_blanket(ctx, &pending);
-                    } else {
-                        self.retransmit_targeted(ctx, &pending);
-                    }
+                    self.retransmit_targeted(ctx, &pending);
                 }
                 ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
             }

@@ -151,19 +151,12 @@ pub struct ProxyActor {
     backoff: SimDuration,
     max_backoff: SimDuration,
     timer_gen: u64,
-    /// Healthy checks since the last anti-entropy re-subscribe (legacy
-    /// mode only; the lease protocol renews instead).
-    checks_since_resub: u32,
     /// Name under which propagation latency samples are recorded.
     latency_metric: &'static str,
     /// Pre-resolved `(latency series, proxy-updates counter)` symbols,
     /// cached on first apply so the per-landing hot path skips the metric
     /// name hashes.
     hot_syms: Option<(simnet::intern::Sym, simnet::intern::Sym)>,
-    /// Whether to run the watch-lease protocol (default). The legacy
-    /// baseline re-sends every `Subscribe { path, have }` on every healthy
-    /// healthcheck instead.
-    use_leases: bool,
     /// The lease epoch granted by the current observer's `LeaseAck`
     /// (0 = establishment in flight or not started).
     lease_epoch: u64,
@@ -198,10 +191,8 @@ impl ProxyActor {
             backoff: SimDuration::from_millis(500),
             max_backoff: SimDuration::from_secs(8),
             timer_gen: 0,
-            checks_since_resub: 0,
             latency_metric: PROPAGATION_S,
             hot_syms: None,
-            use_leases: true,
             lease_epoch: 0,
             frames_received: 0,
             checks_since_renew: 0,
@@ -214,15 +205,6 @@ impl ProxyActor {
     /// Overrides the metric name used for propagation latency samples.
     pub fn with_latency_metric(mut self, name: &'static str) -> ProxyActor {
         self.latency_metric = name;
-        self
-    }
-
-    /// Switches to the pre-lease baseline (see
-    /// [`crate::ensemble::EnsembleConfig::legacy_rebroadcast`]): every
-    /// subscription re-sent on every healthy healthcheck, 16-byte pings
-    /// without lease counters.
-    pub fn with_legacy(mut self, legacy: bool) -> ProxyActor {
-        self.use_leases = !legacy;
         self
     }
 
@@ -285,11 +267,7 @@ impl ProxyActor {
                 self.current = previous.or_else(|| self.cluster_observers.first().copied());
             }
         }
-        if self.use_leases {
-            self.establish_lease(ctx);
-        } else {
-            self.resubscribe(ctx);
-        }
+        self.establish_lease(ctx);
     }
 
     /// (Re)establishes the watch lease with the current observer: one
@@ -322,15 +300,14 @@ impl ProxyActor {
     /// current one (in flight across a failover), are applied but not
     /// counted — the sender did not count them against this lease either.
     fn note_frame(&mut self, from: NodeId) {
-        if self.use_leases && self.lease_epoch != 0 && Some(from) == self.current {
+        if self.lease_epoch != 0 && Some(from) == self.current {
             self.frames_received += 1;
         }
     }
 
     /// (Re)sends every subscription with the cached versions. The observer
-    /// replies only where it has something newer, so this doubles as
-    /// proxy-tier anti-entropy: a `Notify` lost to a drop window is
-    /// repaired by the next re-subscribe.
+    /// replies only where it has something newer, so re-establishing a
+    /// lease also repairs anything lost while the old one was broken.
     fn resubscribe(&mut self, ctx: &mut Ctx<'_>) {
         let Some(obs) = self.current else { return };
         for path in self.subscriptions.clone() {
@@ -341,7 +318,6 @@ impl ProxyActor {
                 ZeusMsg::Subscribe { path, have },
             );
         }
-        self.checks_since_resub = 0;
     }
 
     /// Lands one notified write in the on-disk cache: latency sample, final
@@ -465,7 +441,7 @@ impl Actor for ProxyActor {
                         return;
                     }
                     self.pong_seen = true;
-                    if self.use_leases && !lease_ok && self.lease_epoch != 0 {
+                    if !lease_ok && self.lease_epoch != 0 {
                         // Fenced (observer restarted) or unknown: fall back
                         // to the full anti-entropy re-subscribe.
                         ctx.metrics().incr(LEASE_FALLS_BACK, 1);
@@ -476,7 +452,7 @@ impl Actor for ProxyActor {
                     // Loss-repair chunk under a freshly granted epoch (its
                     // activating ack follows on the link). Counted per
                     // epoch so the ack can adopt exactly what arrived.
-                    if self.use_leases && Some(from) == self.current {
+                    if Some(from) == self.current {
                         if self.repair_epoch != epoch {
                             self.repair_epoch = epoch;
                             self.repair_frames = 0;
@@ -493,7 +469,7 @@ impl Actor for ProxyActor {
                     repaired,
                     paths,
                 } => {
-                    if Some(from) != self.current || !self.use_leases {
+                    if Some(from) != self.current {
                         return;
                     }
                     self.pong_seen = true;
@@ -531,7 +507,7 @@ impl Actor for ProxyActor {
                     }
                 }
                 ZeusMsg::LeaseNack { .. } => {
-                    if Some(from) != self.current || !self.use_leases {
+                    if Some(from) != self.current {
                         return;
                     }
                     self.pong_seen = true;
@@ -566,22 +542,20 @@ impl Actor for ProxyActor {
                 .min(self.max_backoff.as_micros())
                 .max(base);
             self.backoff = SimDuration::from_micros(ctx.rng().gen_range(base..=hi));
-        } else if self.use_leases {
+        } else {
             self.backoff = self.healthcheck;
             if self.lease_epoch == 0 {
                 // Establishment ack lost (or still unanswered): retry at
-                // healthcheck cadence. Until the lease is granted the
-                // re-subscribe set rides along, so this degrades to exactly
-                // the legacy per-check cost — never worse.
+                // healthcheck cadence, re-sending the subscribe set with
+                // the renewal until the lease is granted.
                 self.establish_lease(ctx);
             } else {
                 self.checks_since_renew += 1;
                 if self.checks_since_renew >= self.renew_every {
                     self.checks_since_renew = 0;
-                    // ONE 32-byte renewal covering every watched path,
-                    // replacing one Subscribe per path per check. Loss
-                    // detection does not wait for this: every ping carries
-                    // the frame counters.
+                    // ONE 32-byte renewal covering every watched path.
+                    // Loss detection does not wait for this: every ping
+                    // carries the frame counters.
                     if let Some(obs) = self.current {
                         ctx.send_value(
                             obs,
@@ -594,41 +568,20 @@ impl Actor for ProxyActor {
                     }
                 }
             }
-        } else {
-            self.backoff = self.healthcheck;
-            self.checks_since_resub += 1;
-            // Legacy baseline: every healthy check re-sends a `Subscribe
-            // { path, have }` per path — a tiny ask the observer answers
-            // only when it holds something newer. This is the repair path
-            // the lease counters replace.
-            if self.checks_since_resub >= 1 {
-                self.resubscribe(ctx);
-            }
         }
         self.pong_seen = false;
         if let Some(obs) = self.current {
-            if self.use_leases {
-                // The ping doubles as the loss detector: the observer
-                // compares `frames_received` against its settled send
-                // counter and repairs any shortfall immediately.
-                ctx.send_value(
-                    obs,
-                    control_wire::PING,
-                    ZeusMsg::ProxyPing {
-                        epoch: self.lease_epoch,
-                        frames_received: self.frames_received,
-                    },
-                );
-            } else {
-                ctx.send_value(
-                    obs,
-                    16,
-                    ZeusMsg::ProxyPing {
-                        epoch: 0,
-                        frames_received: 0,
-                    },
-                );
-            }
+            // The ping doubles as the loss detector: the observer compares
+            // `frames_received` against its settled send counter and
+            // repairs any shortfall immediately.
+            ctx.send_value(
+                obs,
+                control_wire::PING,
+                ZeusMsg::ProxyPing {
+                    epoch: self.lease_epoch,
+                    frames_received: self.frames_received,
+                },
+            );
         }
         ctx.set_timer(self.backoff, self.timer_gen);
     }

@@ -265,7 +265,7 @@ pub enum ZeusMsg {
     ProxyPong {
         /// Whether the pinger's lease is still valid. `false` (unknown
         /// watcher, fenced epoch) sends the proxy back through a full
-        /// re-subscribe; always `true` from legacy-mode observers.
+        /// re-subscribe; always `true` for an epoch-0 ping.
         lease_ok: bool,
     },
     /// Proxy → observer: establish or renew the watch lease covering every

@@ -1014,3 +1014,161 @@ fn observer_restart_fences_stale_leases_and_watchers_fall_back() {
     sim.run_for(SimDuration::from_secs(3));
     assert_eq!(zeus.coverage(&sim, "cfg/fence", b"v2"), 1.0);
 }
+
+/// Pass-through wrapper that tallies every message delivered to the
+/// wrapped actor by protocol kind, so a test can pin exactly which frames
+/// a code path exchanges.
+struct Spy<A> {
+    inner: A,
+    received: std::collections::BTreeMap<&'static str, u64>,
+}
+
+impl<A> Spy<A> {
+    fn new(inner: A) -> Spy<A> {
+        Spy {
+            inner,
+            received: Default::default(),
+        }
+    }
+}
+
+fn msg_kind(msg: &Message) -> &'static str {
+    use zeus::types::ZeusMsg;
+    match msg.downcast_ref::<ZeusMsg>() {
+        Some(ZeusMsg::ProxyPing { .. }) => "ping",
+        Some(ZeusMsg::ProxyPong { .. }) => "pong",
+        Some(ZeusMsg::LeaseRenew { .. }) => "renew",
+        Some(ZeusMsg::LeaseAck { .. }) => "ack",
+        Some(ZeusMsg::Subscribe { .. }) => "subscribe",
+        Some(ZeusMsg::ObserverSync { .. }) => "sync",
+        Some(_) => "other zeus",
+        None => "other",
+    }
+}
+
+impl<A: Actor> Actor for Spy<A> {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
+        *self.received.entry(msg_kind(&msg)).or_default() += 1;
+        self.inner.on_message(ctx, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        self.inner.on_timer(ctx, tag);
+    }
+    fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_recover(ctx);
+    }
+}
+
+/// Stand-in leader: absorbs the observer's anti-entropy syncs unanswered.
+struct Sink;
+
+impl Actor for Sink {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
+}
+
+#[test]
+fn healthy_lease_costs_one_ping_pong_per_check_and_renews_every_fourth() {
+    use std::collections::BTreeMap;
+    use zeus::metrics::{LEASE_FALLS_BACK, LEASE_RENEWALS, LEASE_REPAIRS};
+
+    // One cluster: a stand-in leader, one observer, one leased proxy.
+    let topo = Topology::symmetric(1, 1, 3);
+    let (leader, observer, proxy) = (NodeId(0), NodeId(1), NodeId(2));
+    let mut sim = Sim::new(topo, NetConfig::datacenter(), 61);
+    sim.add_actor(leader, Box::new(Spy::new(Sink)));
+    sim.add_actor(
+        observer,
+        Box::new(Spy::new(ObserverActor::new(leader, 1_000))),
+    );
+    sim.add_actor(
+        proxy,
+        Box::new(Spy::new(ProxyActor::new(
+            vec![observer],
+            vec!["cfg/a".into(), "cfg/b".into()],
+        ))),
+    );
+
+    // Establishment completes within a round trip; the first healthcheck
+    // fires at 500 ms. Stop between checks so the window below holds
+    // whole check rounds with no reply in flight at either edge.
+    sim.run_until(SimTime(750_000));
+    let epoch = sim
+        .actor::<Spy<ProxyActor>>(proxy)
+        .unwrap()
+        .inner
+        .lease_epoch();
+    assert_ne!(epoch, 0, "lease must be granted before the window opens");
+
+    type Tally = BTreeMap<&'static str, u64>;
+    let tallies = |sim: &Sim| -> (Tally, Tally, Tally) {
+        (
+            sim.actor::<Spy<Sink>>(leader).unwrap().received.clone(),
+            sim.actor::<Spy<ObserverActor>>(observer)
+                .unwrap()
+                .received
+                .clone(),
+            sim.actor::<Spy<ProxyActor>>(proxy)
+                .unwrap()
+                .received
+                .clone(),
+        )
+    };
+    let delta = |after: &Tally, before: &Tally| -> Tally {
+        after
+            .iter()
+            .map(|(k, v)| (*k, v - before.get(k).copied().unwrap_or(0)))
+            .filter(|(_, v)| *v > 0)
+            .collect()
+    };
+    let counter = |sim: &Sim, name: &str| sim.metrics().counter(name);
+    let (l0, o0, p0) = tallies(&sim);
+    let (renew0, sent0) = (
+        counter(&sim, LEASE_RENEWALS),
+        counter(&sim, simnet::stats::names::MESSAGES_SENT),
+    );
+
+    // N healthchecks at the 500 ms base period, no writes, no loss.
+    const N: u64 = 40;
+    sim.run_for(SimDuration::from_millis(500 * N));
+    let (l1, o1, p1) = tallies(&sim);
+    let renewals = counter(&sim, LEASE_RENEWALS) - renew0;
+    assert!(
+        renewals.abs_diff(N / 4) <= 1,
+        "expected ~{} renewals over {N} checks, got {renewals}",
+        N / 4
+    );
+
+    // Per check: exactly ping + pong; every fourth check adds renew + ack.
+    // No Subscribe, no repair, no fallback, no re-establishment.
+    let to_observer = delta(&o1, &o0);
+    let to_proxy = delta(&p1, &p0);
+    assert_eq!(
+        to_observer,
+        BTreeMap::from([("ping", N), ("renew", renewals)]),
+        "proxy → observer traffic over {N} healthy checks"
+    );
+    assert_eq!(
+        to_proxy,
+        BTreeMap::from([("pong", N), ("ack", renewals)]),
+        "observer → proxy traffic over {N} healthy checks"
+    );
+    // Everything else on the wire is the observer's anti-entropy sync to
+    // the leader, which is independent of the lease.
+    let to_leader = delta(&l1, &l0);
+    assert_eq!(to_leader.keys().copied().collect::<Vec<_>>(), ["sync"]);
+    assert_eq!(
+        counter(&sim, simnet::stats::names::MESSAGES_SENT) - sent0,
+        2 * N + 2 * renewals + to_leader["sync"],
+        "no message beyond ping/pong/renew/ack (and leader syncs)"
+    );
+    assert_eq!(counter(&sim, LEASE_REPAIRS), 0);
+    assert_eq!(counter(&sim, LEASE_FALLS_BACK), 0);
+    let p = &sim.actor::<Spy<ProxyActor>>(proxy).unwrap().inner;
+    assert_eq!(p.lease_epoch(), epoch, "the lease must hold all window");
+}

@@ -1,44 +1,17 @@
 #!/usr/bin/env bash
-# Regenerates the goldens that scripts/check.sh diffs against (chaos
-# metrics snapshots and the laser sweep report). Run after an intentional
-# change to the metrics surface or the distribution/serving pipelines,
-# and review the resulting diff before committing.
+# Regenerates every golden named in the scripts/gates.sh table, which
+# scripts/check.sh diffs against. Run after an intentional change to a
+# report, and review the resulting diff before committing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/gates.sh
 
 mkdir -p scripts/goldens
-for seed in 1 2 3; do
-    cargo run -q --release -p bench --bin repro -- metrics --chaos --seed "$seed" \
-        > "scripts/goldens/chaos_metrics_seed${seed}.prom"
-    echo "wrote scripts/goldens/chaos_metrics_seed${seed}.prom"
-done
-cargo run -q --release -p bench --bin repro -- laser \
-    > "scripts/goldens/laser_seed1.txt"
-echo "wrote scripts/goldens/laser_seed1.txt"
-cargo run -q --release -p bench --bin repro -- canary \
-    > "scripts/goldens/canary_seed1.txt"
-echo "wrote scripts/goldens/canary_seed1.txt"
-cargo run -q --release -p bench --bin repro -- audit \
-    > "scripts/goldens/audit_seed1.txt"
-echo "wrote scripts/goldens/audit_seed1.txt"
-cargo run -q --release -p bench --bin repro -- compile \
-    > "scripts/goldens/compile.txt"
-echo "wrote scripts/goldens/compile.txt"
-cargo run -q --release -p bench --bin repro -- verify --check 2> /dev/null \
-    > "scripts/goldens/verify_check.txt"
-echo "wrote scripts/goldens/verify_check.txt"
-cargo run -q --release -p bench --bin repro -- perf --check 2> /dev/null \
-    > "scripts/goldens/perf_check.txt"
-echo "wrote scripts/goldens/perf_check.txt"
-cargo run -q --release -p bench --bin repro -- fleet --check 2> /dev/null \
-    > "scripts/goldens/fleet_check.txt"
-echo "wrote scripts/goldens/fleet_check.txt"
-cargo run -q --release -p bench --bin repro -- fleet --mobile 1000000 2> /dev/null \
-    > "scripts/goldens/fleet_mobile.txt"
-echo "wrote scripts/goldens/fleet_mobile.txt"
-cargo run -q --release -p bench --bin repro -- health \
-    > "scripts/goldens/health_seed1.txt"
-echo "wrote scripts/goldens/health_seed1.txt"
-cargo run -q --release -p bench --bin repro -- storm \
-    > "scripts/goldens/storm_seed1.txt"
-echo "wrote scripts/goldens/storm_seed1.txt"
+while IFS='|' read -r args golden _ <&3; do
+    args="$(trim "$args")"
+    golden="$(trim "$golden")"
+    [[ "$golden" == - ]] && continue
+    read -ra argv <<< "$args"
+    repro "${argv[@]}" 2> /dev/null > "scripts/goldens/$golden"
+    echo "wrote scripts/goldens/$golden"
+done 3< <(gate_rows)
